@@ -11,7 +11,9 @@
 #include "adt/MemTracker.h"
 #include "obs/MetricsRegistry.h"
 
+#include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -26,13 +28,28 @@ double secondsSince(std::chrono::steady_clock::time_point Start) {
       .count();
 }
 
+/// Strictly parses a finite positive decimal; rejects trailing junk.
+double parseScaleOrExit(const char *Text, const char *Source) {
+  errno = 0;
+  char *End = nullptr;
+  double V = std::strtod(Text, &End);
+  if (End == Text || *End != '\0' || errno == ERANGE || !std::isfinite(V) ||
+      V <= 0) {
+    std::fprintf(stderr, "error: bad scale '%s' from %s (expected a "
+                         "positive number)\n",
+                 Text, Source);
+    std::exit(2);
+  }
+  return V;
+}
+
 } // namespace
 
 double ag::bench::scaleFromArgs(int Argc, char **Argv, double Default) {
   if (Argc > 1)
-    return std::atof(Argv[1]);
+    return parseScaleOrExit(Argv[1], "the command line");
   if (const char *Env = std::getenv("AG_BENCH_SCALE"))
-    return std::atof(Env);
+    return parseScaleOrExit(Env, "AG_BENCH_SCALE");
   return Default;
 }
 

@@ -40,7 +40,8 @@ struct Suite {
 };
 
 /// Resolves the scale factor: argv[1] if present, else AG_BENCH_SCALE,
-/// else \p Default.
+/// else \p Default. A scale that is not a finite positive number exits
+/// the process with status 2 and a message on stderr.
 double scaleFromArgs(int Argc, char **Argv, double Default = 0.12);
 
 /// Generates and preprocesses all six suites at \p Scale.
@@ -62,7 +63,7 @@ struct RunResult {
   uint64_t InternedMisses = 0;
   uint64_t PhysicalSetBytes = 0; ///< Bytes of distinct solution sets.
   uint64_t RoutedSetBytes = 0;   ///< Bytes if every rep held a private copy.
-  /// Compact "ag.metrics.v5" JSON for this run, captured when the run was
+  /// Compact "ag.metrics.v6" JSON for this run, captured when the run was
   /// made with CaptureMetrics (empty otherwise). Bench binaries embed it
   /// verbatim into their BENCH_*.json rows instead of hand-plumbing
   /// individual counter fields.

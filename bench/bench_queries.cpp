@@ -11,23 +11,23 @@
 /// warm-start re-solve of a constraint delta against a cold solve of the
 /// full system, and the demand tier: the distribution of fresh
 /// first-answer latencies over a pool sample (each node on its own
-/// DemandSolver) vs a cold exhaustive solve — headline speedup on the
-/// fastest targeted query, median and max published alongside — plus
-/// the memo warm-up curve over a query sequence. Timed sections follow the
-/// bench_solvers discipline — the first repetition is the cold number,
-/// the min of three the steady-state (min, not mean — noise is
-/// one-sided). Results land in BENCH_queries.json (argv[2] or the
-/// working directory). Exits non-zero only on correctness failures
-/// (cached answers diverging from uncached, warm solution diverging from
-/// cold, demand answers diverging from exhaustive); ratios are reported,
-/// not gated.
+/// default DemandTier, cost allowance and escalation included) vs a cold
+/// solve by the escalation pipeline (OVS + PKH+HCD) — headline speedup on
+/// the fastest targeted query, median, max and max over the cold solve
+/// published alongside — plus the memo warm-up curve over a query
+/// sequence. Timed sections follow the bench_solvers discipline — the
+/// first repetition is the cold number, the min of three the
+/// steady-state (min, not mean — noise is one-sided). Results land in
+/// BENCH_queries.json (argv[2] or the working directory). Exits non-zero
+/// only on correctness failures (cached answers diverging from uncached,
+/// warm solution diverging from cold, demand answers diverging from
+/// exhaustive); ratios are reported here and gated by CI tooling.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "BenchHarness.h"
 
 #include "adt/Rng.h"
-#include "demand/DemandSolver.h"
 #include "demand/DemandTier.h"
 #include "obs/EventLog.h"
 #include "obs/MetricsRegistry.h"
@@ -70,12 +70,16 @@ struct QueryRow {
   double DemandFirstMs = 0;     ///< Best targeted first answer in the sample.
   double DemandMedianMs = 0;    ///< Median fresh first answer in the sample.
   double DemandMaxMs = 0;       ///< Worst fresh first answer in the sample.
-  double DemandColdMs = 0;      ///< Cold exhaustive solve + same answer.
+  double DemandColdMs = 0;      ///< Cold pipeline solve + same answer.
   double DemandSpeedup = 0;     ///< DemandColdMs / DemandFirstMs.
+  double DemandMaxOverCold = 0; ///< DemandMaxMs / DemandColdMs.
   uint64_t DemandSteps = 0;     ///< Deduction steps of the targeted query.
   unsigned DemandSampleN = 0;   ///< Pool nodes sampled for the distribution.
+  unsigned DemandEscalated = 0; ///< Sampled queries that escalated.
+  /// Escalated sampled queries with a targeted answer (1-16 objects).
+  unsigned DemandTargetedEscalated = 0;
   std::string WarmupJson;       ///< Memo warm-up curve (JSON array).
-  std::string MetricsJson; ///< Compact ag.metrics.v5 object for the suite.
+  std::string MetricsJson; ///< Compact ag.metrics.v6 object for the suite.
 };
 
 void appendJsonEscaped(std::string &Out, const std::string &S) {
@@ -156,7 +160,7 @@ int main(int Argc, char **Argv) {
   std::vector<QueryRow> Rows;
   bool Correct = true;
 
-  // One ag.metrics.v5 snapshot per suite covering the whole serving
+  // One ag.metrics.v6 snapshot per suite covering the whole serving
   // story: snapshot load, query mixes (LRU hits/misses), cold solve and
   // warm re-solve. Embedded into the JSON rows below.
   obs::setMetricsEnabled(true);
@@ -273,15 +277,17 @@ int main(int Argc, char **Argv) {
     }
 
     // --- Demand tier: first-answer latency vs a cold full solve. --------
-    // The demand claim is about time-to-first-answer: a fresh solver
+    // The demand claim is about time-to-first-answer: a fresh tier
     // deduces one node's set without solving the system. How much that
     // buys depends entirely on the query's backward slice, so the bench
     // measures a distribution over a pool sample — each node queried on
-    // its own fresh solver, min-of-3 per node — and reports
-    // first_query_ms as the fastest targeted query (the tier's design
-    // point: a client asking about one local pointer) alongside the
-    // median and worst case, where dense graphs degenerate to a
-    // whole-graph frontier and demand approaches the cost of a solve.
+    // its own fresh default tier (built outside the timed region),
+    // min-of-3 per node — and reports first_query_ms as the fastest
+    // targeted query (the tier's design point: a client asking about one
+    // local pointer) alongside the median and worst case. A query whose
+    // slice is the whole graph spends the tier's cost allowance and
+    // escalates to the solve pipeline, so the worst case stays within a
+    // small factor of a cold solve (max_over_cold_solve).
     {
       const size_t SampleN = std::min<size_t>(32, Pool.size());
       std::vector<double> SampleMs(SampleN, 0);
@@ -290,13 +296,10 @@ int main(int Argc, char **Argv) {
       for (size_t Q = 0; Q != SampleN; ++Q) {
         NodeId Node = Pool[Q];
         for (int Rep = 0; Rep != BenchReps; ++Rep) {
-          const uint64_t Steps0 =
-              obs::MetricsRegistry::instance().counterValue(
-                  obs::Counter::DemandSteps);
-          DemandSolver DS(S.Reduced);
-          SparseBitVector Bits;
+          DemandTier Tier(S.Reduced);
+          DemandTier::IdList List;
           T0 = std::chrono::steady_clock::now();
-          Status St = DS.pointsTo(Node, nullptr, Bits);
+          Status St = Tier.pointsTo(Node, List);
           double Ms = secondsSince(T0) * 1e3;
           if (!St.ok()) {
             std::fprintf(stderr, "BUG: demand pointsTo failed on %s: %s\n",
@@ -306,13 +309,13 @@ int main(int Argc, char **Argv) {
           }
           if (Rep == 0) {
             SampleMs[Q] = Ms;
-            SampleSteps[Q] = obs::MetricsRegistry::instance().counterValue(
-                                 obs::Counter::DemandSteps) -
-                             Steps0;
-            SparseBitVector ExactBits;
-            for (NodeId O : ReducedSol.pointsToVector(Node))
-              ExactBits.set(O);
-            if (!(Bits == ExactBits)) {
+            SampleSteps[Q] = Tier.stepsCharged();
+            if (Tier.escalated()) {
+              ++Row.DemandEscalated;
+              if (!List->empty() && List->size() <= 16)
+                ++Row.DemandTargetedEscalated;
+            }
+            if (*List != ReducedSol.pointsToVector(Node)) {
               std::fprintf(stderr,
                            "BUG: demand answer diverges from exhaustive on "
                            "%s node %u\n",
@@ -338,8 +341,8 @@ int main(int Argc, char **Argv) {
       NodeId TargetQ = Pool[Best];
       for (int Rep = 0; Rep != BenchReps; ++Rep) {
         T0 = std::chrono::steady_clock::now();
-        PointsToSolution Exact = solve(S.Reduced, SolverKind::LCDHCD);
-        volatile size_t Touch = Exact.pointsToVector(TargetQ).size();
+        SolveResult Exact = solvePipeline(S.Reduced, SolverKind::PKHHCD);
+        volatile size_t Touch = Exact.Solution.pointsToVector(TargetQ).size();
         (void)Touch;
         double Ms = secondsSince(T0) * 1e3;
         Row.DemandColdMs =
@@ -347,6 +350,8 @@ int main(int Argc, char **Argv) {
       }
       Row.DemandSpeedup =
           Row.DemandFirstMs > 0 ? Row.DemandColdMs / Row.DemandFirstMs : 0;
+      Row.DemandMaxOverCold =
+          Row.DemandColdMs > 0 ? Row.DemandMaxMs / Row.DemandColdMs : 0;
     }
 
     // --- Demand memo warm-up: certified classes and LRU hits over a
@@ -380,11 +385,13 @@ int main(int Argc, char **Argv) {
                 Row.ColdSolveMs, Row.WarmSolveMs, Row.WarmSpeedup,
                 static_cast<unsigned long long>(Row.DeltaConstraints));
     std::printf("%-14s demand first-answer %8.3f ms (median %8.3f, max "
-                "%8.2f over %u) vs cold solve %8.2f ms (x%6.1f, %llu "
-                "steps)\n",
+                "%8.2f over %u, %u escalated) vs cold solve %8.2f ms "
+                "(x%6.1f, %llu steps; max x%4.2f)\n",
                 "", Row.DemandFirstMs, Row.DemandMedianMs, Row.DemandMaxMs,
-                Row.DemandSampleN, Row.DemandColdMs, Row.DemandSpeedup,
-                static_cast<unsigned long long>(Row.DemandSteps));
+                Row.DemandSampleN, Row.DemandEscalated, Row.DemandColdMs,
+                Row.DemandSpeedup,
+                static_cast<unsigned long long>(Row.DemandSteps),
+                Row.DemandMaxOverCold);
     Row.MetricsJson =
         obs::MetricsRegistry::instance().renderJson(/*Compact=*/true);
     Rows.push_back(std::move(Row));
@@ -661,6 +668,11 @@ int main(int Argc, char **Argv) {
             ", \"max_query_ms\": " + std::to_string(R.DemandMaxMs) +
             ", \"sampled_queries\": " + std::to_string(R.DemandSampleN) +
             ", \"cold_solve_ms\": " + std::to_string(R.DemandColdMs) +
+            ", \"max_over_cold_solve\": " +
+            std::to_string(R.DemandMaxOverCold) +
+            ", \"escalated_queries\": " + std::to_string(R.DemandEscalated) +
+            ", \"targeted_escalated_queries\": " +
+            std::to_string(R.DemandTargetedEscalated) +
             ", \"speedup\": " + std::to_string(R.DemandSpeedup) +
             ", \"steps\": " + std::to_string(R.DemandSteps) +
             ", \"warmup\": " + R.WarmupJson + "}" +

@@ -7,7 +7,7 @@
 /// \file
 /// Machine-readable solver comparison: for every algorithm (bitmap sets),
 /// cold wall-clock time plus the min of three repetitions, an embedded
-/// "ag.metrics.v5" snapshot and peak tracked bytes per suite; then the
+/// "ag.metrics.v6" snapshot and peak tracked bytes per suite; then the
 /// parallel wavefront solver at 1/2/4/8 threads against sequential
 /// LCD+HCD, verifying bit-identical solutions and recording the speedup.
 /// A "memory" section records the memory-kernel story per suite (arena
@@ -52,7 +52,7 @@ struct SolverRow {
   uint64_t WorklistPops = 0;
   uint64_t PeakBytes = 0;
   uint64_t Hash = 0;
-  std::string MetricsJson; ///< Compact ag.metrics.v5 object for this run.
+  std::string MetricsJson; ///< Compact ag.metrics.v6 object for this run.
 };
 
 /// Memory-kernel numbers for one suite (from the cold LCD+HCD run).
@@ -76,7 +76,7 @@ struct ParallelRow {
   uint64_t ParallelRounds = 0;
   uint64_t Propagations = 0;
   bool Identical = false; ///< Solution hash equals the sequential run's.
-  std::string MetricsJson; ///< Compact ag.metrics.v5 object for this run.
+  std::string MetricsJson; ///< Compact ag.metrics.v6 object for this run.
 };
 
 void appendJsonEscaped(std::string &Out, const std::string &S) {

@@ -13,7 +13,6 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "constraints/OfflineVariableSubstitution.h"
 #include "frontend/ConstraintGen.h"
 #include "solvers/Solve.h"
 
@@ -97,11 +96,10 @@ int main(int Argc, char **Argv) {
   std::printf("constraints: %zu over %u nodes\n",
               Gen.CS.constraints().size(), Gen.CS.numNodes());
 
-  OvsResult Ovs = runOfflineVariableSubstitution(Gen.CS);
   SolverStats Stats;
-  PointsToSolution Solution = solve(Ovs.Reduced, SolverKind::LCDHCD,
-                                    PtsRepr::Bitmap, &Stats,
-                                    SolverOptions(), &Ovs.Rep);
+  PointsToSolution Solution =
+      solvePipeline(Gen.CS, SolverKind::LCDHCD, SolveBudget(), &Stats)
+          .Solution;
 
   // Print the points-to sets of the user-visible variables that point at
   // anything.

@@ -14,7 +14,6 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "constraints/OfflineVariableSubstitution.h"
 #include "frontend/ConstraintGen.h"
 #include "solvers/Solve.h"
 
@@ -79,10 +78,8 @@ int main(int Argc, char **Argv) {
     return 1;
   }
 
-  OvsResult Ovs = runOfflineVariableSubstitution(Gen.CS);
   PointsToSolution Solution =
-      solve(Ovs.Reduced, SolverKind::LCDHCD, PtsRepr::Bitmap, nullptr,
-            SolverOptions(), &Ovs.Rep);
+      solvePipeline(Gen.CS, SolverKind::LCDHCD).Solution;
 
   // Invert the function map for object -> name lookups.
   std::map<NodeId, std::string> FunctionNames;

@@ -322,6 +322,9 @@ int cmdGenC(int Argc, char **Argv) {
 /// resolve.
 struct SolveFlags {
   SolverKind Kind = SolverKind::LCDHCD;
+  /// The [algo] positional was given (query: overrides the tier's
+  /// default escalation kind).
+  bool KindSet = false;
   SolveBudget Budget;
   SolverOptions Opts;
   /// Observability outputs (empty = channel stays off).
@@ -461,7 +464,6 @@ private:
 /// return from the command.
 int parseSolveFlags(int Argc, char **Argv, int Start, bool AllowKind,
                     SolveFlags &F) {
-  bool SawKind = false;
   for (int I = Start; I < Argc; ++I) {
     std::string Arg = Argv[I];
     // Observability flags accept --flag=value and --flag value forms.
@@ -585,8 +587,8 @@ int parseSolveFlags(int Argc, char **Argv, int Start, bool AllowKind,
     } else if (Arg.size() >= 2 && Arg[0] == '-' && Arg[1] == '-') {
       std::fprintf(stderr, "error: unknown flag '%s'\n", Arg.c_str());
       return usage();
-    } else if (AllowKind && !SawKind) {
-      SawKind = true;
+    } else if (AllowKind && !F.KindSet) {
+      F.KindSet = true;
       if (!parseKind(Arg, F.Kind)) {
         std::fprintf(stderr, "error: unknown algorithm '%s'\n", Arg.c_str());
         return ExitError;
@@ -614,10 +616,9 @@ int cmdSolve(int Argc, char **Argv) {
   ObsSession Obs(F);
 
   auto T0 = std::chrono::steady_clock::now();
-  OvsResult Ovs = runOfflineVariableSubstitution(CS);
+  OvsResult Ovs;
   SolverStats Stats;
-  SolveResult R = solveGoverned(Ovs.Reduced, Kind, Budget, PtsRepr::Bitmap,
-                                &Stats, Opts, &Ovs.Rep);
+  SolveResult R = solvePipeline(CS, Kind, Budget, &Stats, Opts, &Ovs);
   double Seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - T0)
           .count();
@@ -669,9 +670,11 @@ int cmdSolve(int Argc, char **Argv) {
 
 /// `ptatool query`: answer one query through the demand tier — no full
 /// solve up front. Deduction runs under the budget flags (as the
-/// per-query budget); a trip escalates to one governed exhaustive solve
-/// under the same budget with the Steensgaard fallback allowed, so the
-/// answer stays sound and the exit code reports how it was reached:
+/// per-query budget) and the tier's cost allowance; a trip or a spent
+/// allowance escalates to one governed exhaustive solve (OVS then
+/// PKH+HCD, or the [algo] given) under the same budget with the
+/// Steensgaard fallback allowed, so the answer stays sound and the exit
+/// code reports how it was reached:
 /// 0 demand/precise, 3 escalated to fallback, 4 budget tripped with
 /// --no-fallback (no sound answer; nothing printed), 5 stalled.
 int cmdQuery(int Argc, char **Argv) {
@@ -730,7 +733,8 @@ int cmdQuery(int Argc, char **Argv) {
   // escalation still lands the sound Steensgaard answer (exit 3).
   TO.EscalationBudget = F.Budget;
   TO.EscalationBudget.AllowFallback = true;
-  TO.EscalationKind = F.Kind;
+  if (F.KindSet)
+    TO.EscalationKind = F.Kind;
   TO.EscalationOpts = F.Opts;
   TO.AllowEscalation = F.Budget.AllowFallback;
   DemandTier Tier(std::move(CS), TO);
@@ -780,10 +784,9 @@ int cmdSnapshot(int Argc, char **Argv) {
     return Rc;
   ObsSession Obs(F);
 
-  OvsResult Ovs = runOfflineVariableSubstitution(CS);
+  OvsResult Ovs;
   SolverStats Stats;
-  SolveResult R = solveGoverned(Ovs.Reduced, F.Kind, F.Budget,
-                                PtsRepr::Bitmap, &Stats, F.Opts, &Ovs.Rep);
+  SolveResult R = solvePipeline(CS, F.Kind, F.Budget, &Stats, F.Opts, &Ovs);
   if (R.Outcome == SolveOutcome::Failed) {
     std::fprintf(stderr, "error: %s\n", R.St.toString().c_str());
     return ExitError;
@@ -798,8 +801,12 @@ int cmdSnapshot(int Argc, char **Argv) {
     return outcomeExit(SolveOutcome::Partial, R.St);
   }
 
+  // The snapshot keeps the parsed system, not the OVS-reduced one: OVS
+  // drops constraints that only read variables empty in this system, and
+  // a later delta can make those variables non-empty. The OVS map rides
+  // along as the seed map the solution was computed with.
   Snapshot Snap;
-  Snap.CS = std::move(Ovs.Reduced);
+  Snap.CS = std::move(CS);
   Snap.SeedReps = std::move(Ovs.Rep);
   Snap.Solution = std::move(R.Solution);
   Snap.Kind = F.Kind;

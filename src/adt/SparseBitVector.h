@@ -272,6 +272,10 @@ public:
   /// Heap bytes owned by this vector (for the memory tables).
   size_t memoryBytes() const { return NumElements * sizeof(Element); }
 
+  /// Number of list elements: what a word-level walk over this vector
+  /// (union, copy, compare) costs.
+  size_t numElements() const { return NumElements; }
+
   /// Forward iterator over set bit indices in increasing order.
   class iterator {
   public:

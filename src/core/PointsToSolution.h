@@ -151,11 +151,16 @@ public:
   }
 
   /// Sum over all nodes of |pts(node)| (each node counted, shared sets
-  /// counted repeatedly) — a standard precision/size metric.
+  /// counted repeatedly) — a standard precision/size metric. Counts each
+  /// representative's set once and weights it by its class size.
   uint64_t totalPointsToSize() const {
+    std::vector<uint32_t> ClassSize(numNodes(), 0);
+    for (NodeId R : Rep)
+      ++ClassSize[R];
     uint64_t Total = 0;
-    for (uint32_t V = 0; V != numNodes(); ++V)
-      Total += pointsTo(V).count();
+    for (uint32_t R = 0; R != numNodes(); ++R)
+      if (ClassSize[R] && Sets[R])
+        Total += uint64_t(ClassSize[R]) * Sets[R]->count();
     return Total;
   }
 

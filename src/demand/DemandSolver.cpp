@@ -187,13 +187,19 @@ void DemandSolver::invalidateAll() {
     obs::count(obs::Counter::DemandInvalidations, Cleared);
 }
 
-NodeId DemandSolver::merge(NodeId A, NodeId B) {
+uint64_t DemandSolver::merge(NodeId A, NodeId B) {
   A = find(A);
   B = find(B);
   if (A == B)
-    return A;
+    return 0;
   NodeId S = Reps.unite(A, B);
   NodeId L = S == A ? B : A;
+  // Each union below walks both sides' element lists.
+  const uint64_t Work = 1 + Pts[S].numElements() + Pts[L].numElements() +
+                        Preds[S].numElements() + Preds[L].numElements() +
+                        Fwd[S].numElements() + Fwd[L].numElements() +
+                        BaseDeps[S].numElements() +
+                        BaseDeps[L].numElements() + Members[L].size();
   Pts[S].unionWith(Pts[L]);
   Pts[L].clear();
   Preds[S].unionWith(Preds[L]);
@@ -211,7 +217,7 @@ NodeId DemandSolver::merge(NodeId A, NodeId B) {
   // Merges happen only inside Tarjan folds, whose stacks never hold a
   // certified class.
   assert(!Complete[A] && !Complete[B] && "merge of a certified class");
-  return S;
+  return Work;
 }
 
 bool DemandSolver::addDemand(NodeId Rep) {
@@ -273,11 +279,8 @@ void DemandSolver::tarjanQuery(NodeId Root, SolveGovernor *Gov) {
     if (F.PendingChild != InvalidNode) {
       NodeId C = find(F.PendingChild);
       F.PendingChild = InvalidNode;
-      if (CacheEpoch[C] == Epoch && C != U) {
-        if (Gov)
-          Gov->onPropagation();
-        CachePts[U].unionWith(CachePts[C]);
-      }
+      if (CacheEpoch[C] == Epoch && C != U)
+        unionInto(CachePts[U], CachePts[C], Gov);
     }
     if (F.It != F.End) {
       NodeId P = find(*F.It);
@@ -285,15 +288,11 @@ void DemandSolver::tarjanQuery(NodeId Root, SolveGovernor *Gov) {
       if (P == U)
         continue;
       if (Complete[P]) {
-        if (Gov)
-          Gov->onPropagation();
-        CachePts[U].unionWith(Pts[P]);
+        unionInto(CachePts[U], Pts[P], Gov);
         continue;
       }
       if (CacheEpoch[P] == Epoch) {
-        if (Gov)
-          Gov->onPropagation();
-        CachePts[U].unionWith(CachePts[P]);
+        unionInto(CachePts[U], CachePts[P], Gov);
         continue;
       }
       if (VisitEpoch[P] == Epoch) {
@@ -315,16 +314,19 @@ void DemandSolver::tarjanQuery(NodeId Root, SolveGovernor *Gov) {
     }
     if (LowLink[U] == DfsNum[U]) {
       // U roots an SCC: fold member caches and collapse through the
-      // shared union-find (the side-effect cycle detection of HT).
+      // shared union-find (the side-effect cycle detection of HT). The
+      // fold is charged once it is whole, so a trip never splits it.
+      uint64_t FoldWork = 0;
       for (;;) {
         NodeId W = SccStack.back();
         SccStack.pop_back();
         OnStackEpoch[W] = 0;
         if (W == U)
           break;
+        FoldWork += CachePts[U].numElements() + CachePts[W].numElements();
         CachePts[U].unionWith(CachePts[W]);
         CachePts[W].clear();
-        merge(U, W);
+        FoldWork += merge(U, W);
       }
       NodeId R = find(U);
       if (R != U) {
@@ -334,6 +336,8 @@ void DemandSolver::tarjanQuery(NodeId Root, SolveGovernor *Gov) {
       CacheEpoch[R] = Epoch;
       VisitEpoch[R] = Epoch;
       OnStackEpoch[R] = 0;
+      if (FoldWork)
+        chargeStep(Gov, FoldWork);
     }
   }
 }
@@ -359,11 +363,14 @@ bool DemandSolver::processNode(NodeId U, SolveGovernor *Gov) {
       B = find(B);
     }
     BaseDeps[B].set(find(UR));
+    uint64_t Scanned = 0;
     for (uint32_t O : closureOf(B)) {
+      ++Scanned;
       NodeId T = CS.offsetTarget(O, L.Offset);
       if (T != InvalidNode && addPredEdge(UR, T, Gov))
         Changed = true;
     }
+    chargeStep(Gov, Scanned);
   }
 
   // Stores whose slot may be a member of this class: for member w and
@@ -389,6 +396,7 @@ bool DemandSolver::processNode(NodeId U, SolveGovernor *Gov) {
         DemandedSlotList.push_back(W);
     }
   }
+  chargeStep(Gov, MemberSnap.size());
   return Changed;
 }
 
@@ -406,7 +414,9 @@ void DemandSolver::expandStore(StoreBucket &B, size_t I, SolveGovernor *Gov) {
     Certified = Complete[A] != 0;
   }
   SparseBitVector &Done = B.Done[I];
+  uint64_t Scanned = 0;
   for (uint32_t O : closureOf(A)) {
+    ++Scanned;
     if (!Done.set(O))
       continue;
     NodeId T = CS.offsetTarget(O, B.Offset);
@@ -415,6 +425,7 @@ void DemandSolver::expandStore(StoreBucket &B, size_t I, SolveGovernor *Gov) {
   }
   if (Certified)
     B.DoneFull[I] = 1;
+  chargeStep(Gov, Scanned);
 }
 
 bool DemandSolver::drainSlotWriters(NodeId W, SolveGovernor *Gov) {
@@ -518,6 +529,12 @@ bool DemandSolver::memoAlias(NodeId A, NodeId B, bool &Out) {
   obs::count(obs::Counter::DemandMemoHits);
   Out = Pts[RA].intersects(Pts[RB]);
   return true;
+}
+
+void DemandSolver::throwAllowanceSpent() const {
+  throw BudgetExceededError(Status::stepLimit(
+      "demand step allowance of " + std::to_string(StepAllowance) +
+      " spent"));
 }
 
 Status DemandSolver::pointsTo(NodeId V, SolveGovernor *Gov,
@@ -656,6 +673,7 @@ Status DemandSolver::pointedBy(NodeId Obj, SolveGovernor *Gov,
             if (T != InvalidNode)
               Add(T);
           }
+          chargeStep(Gov, Pts[A].count());
         }
       }
     }

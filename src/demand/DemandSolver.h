@@ -24,10 +24,12 @@
 /// HtSolver-style iterative Tarjan over predecessor edges, collapsing
 /// cycles into the shared UnionFind as a side effect.
 ///
-/// A per-query SolveGovernor bounds deduction; a budget trip unwinds as a
-/// structured Status. Unwound state stays sound: every recorded edge and
-/// merge is a true derivation, and Complete is only set at a converged
-/// fixpoint, so a later (or escalated) query resumes the partial work.
+/// A per-query SolveGovernor bounds deduction, and an optional step
+/// allowance shared by all queries bounds its total cost (DemandTier sets
+/// it from the graph size); either trip unwinds as a structured Status.
+/// Unwound state stays sound: every recorded edge and merge is a true
+/// derivation, and Complete is only set at a converged fixpoint, so a
+/// later (or escalated) query resumes the partial work.
 ///
 /// Thread-compatibility: queries mutate shared memo state and must be
 /// externally serialized (DemandTier holds the mutex).
@@ -90,6 +92,19 @@ public:
 
   uint32_t numNodes() const { return NumNodes; }
 
+  /// Caps the deduction steps charged from now on, across all queries, at
+  /// \p Limit (0 lifts the cap) and restarts the count. A query that
+  /// would charge a step past the cap unwinds with a step-limit Status,
+  /// exactly like a governor trip.
+  void setStepAllowance(uint64_t Limit) {
+    StepAllowance = Limit ? Limit : UINT64_MAX;
+    StepsCharged = 0;
+  }
+  /// Steps charged since the last setStepAllowance (or construction).
+  uint64_t stepsCharged() const { return StepsCharged; }
+  /// True once a query has tripped the step allowance.
+  bool allowanceSpent() const { return StepsCharged > StepAllowance; }
+
   /// Re-reads the bound system: adopts nodes and constraints appended
   /// since construction (or the last refresh) and invalidates the memo
   /// entries the additions may affect. New AddressOf/Copy/Load facts
@@ -142,7 +157,9 @@ private:
   void indexConstraint(const Constraint &C, bool Invalidate);
   void invalidateFrom(NodeId Rep);
   void invalidateAll();
-  NodeId merge(NodeId A, NodeId B);
+  /// Unites the classes of \p A and \p B; returns the work done in
+  /// set elements walked (0 if already one class).
+  uint64_t merge(NodeId A, NodeId B);
 
   /// Runs the demanded-set local fixpoint rooted at \p Root and certifies
   /// every demanded class Complete. Throws BudgetExceededError.
@@ -168,10 +185,24 @@ private:
   /// Records the derived predecessor edge \p From -> \p To (pts(From)
   /// flows into To) and demands From. \returns true if new.
   bool addPredEdge(NodeId To, NodeId From, SolveGovernor *Gov);
-  void chargeStep(SolveGovernor *Gov) {
-    ++StepsThisQuery;
+  /// Charges \p N deduction steps: one per node visit, rule application,
+  /// edge traversal or set element scanned, so the step count tracks the
+  /// deduction's running time (the cost allowance relies on that).
+  void chargeStep(SolveGovernor *Gov, uint64_t N = 1) {
+    StepsThisQuery += N;
+    if ((StepsCharged += N) > StepAllowance)
+      throwAllowanceSpent();
     if (Gov)
       Gov->onStep();
+  }
+  [[noreturn]] void throwAllowanceSpent() const;
+  /// Dst |= Src as one propagation, charged by Src's word-level size.
+  void unionInto(SparseBitVector &Dst, const SparseBitVector &Src,
+                 SolveGovernor *Gov) {
+    chargeStep(Gov, 1 + Src.numElements());
+    if (Gov)
+      Gov->onPropagation();
+    Dst.unionWith(Src);
   }
 
   const ConstraintSystem &CS;
@@ -246,6 +277,8 @@ private:
   uint32_t FixpointId = 0;
 
   uint64_t StepsThisQuery = 0;
+  uint64_t StepsCharged = 0;
+  uint64_t StepAllowance = UINT64_MAX;
 };
 
 } // namespace ag

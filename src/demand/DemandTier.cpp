@@ -6,6 +6,7 @@
 
 #include "demand/DemandTier.h"
 
+#include "obs/FlightRecorder.h"
 #include "obs/MetricsRegistry.h"
 #include "obs/RequestContext.h"
 #include "obs/TraceRecorder.h"
@@ -14,12 +15,44 @@
 
 using namespace ag;
 
+namespace {
+
+/// K of the cost allowance K x |constraints| (DESIGN.md §14). A deduction
+/// step costs 5-25 ns (about 10 ns on average) and the escalation
+/// pipeline (OVS + PKH+HCD) as much as 100-150 average steps per
+/// constraint on the bench suites, so K = 32 lets a whole-graph query
+/// spend a quarter to a half of a solve before it hands over: a dense
+/// first answer then costs at most ~1.5x a cold solve. Local queries
+/// charge under 0.01 steps per constraint and never come near it.
+constexpr uint64_t AllowanceStepsPerConstraint = 32;
+
+} // namespace
+
 DemandTier::DemandTier(ConstraintSystem System, const Options &O)
     : Opts(O), CS(std::move(System)),
       Demand(std::make_unique<DemandSolver>(CS)),
       Cache(Opts.CacheCapacity / 2, Opts.CacheShards),
       AliasCache(Opts.CacheCapacity - Opts.CacheCapacity / 2,
-                 Opts.CacheShards) {}
+                 Opts.CacheShards) {
+  resetAllowance();
+}
+
+void DemandTier::resetAllowance() {
+  Allowance = Opts.AllowEscalation
+                  ? AllowanceStepsPerConstraint * CS.constraints().size()
+                  : 0;
+  Demand->setStepAllowance(Allowance);
+}
+
+uint64_t DemandTier::stepAllowance() const {
+  std::lock_guard<std::mutex> Lock(Mu);
+  return Allowance;
+}
+
+uint64_t DemandTier::stepsCharged() const {
+  std::lock_guard<std::mutex> Lock(Mu);
+  return Demand->stepsCharged();
+}
 
 DemandTier::IdList DemandTier::materialize(const SparseBitVector &Bits) {
   std::vector<NodeId> Ids;
@@ -48,18 +81,26 @@ DemandTier::IdList DemandTier::solutionPointedBy(NodeId Obj) {
   return std::make_shared<const std::vector<NodeId>>(EscReverse[Obj]);
 }
 
-Status DemandTier::escalateLocked(const Status &TripSt) {
+Status DemandTier::escalateLocked(const Status &TripSt, bool CostCap) {
   if (Escalation)
     return Status::okStatus();
   if (!Opts.AllowEscalation)
     return TripSt;
+  if (CostCap) {
+    obs::count(obs::Counter::DemandCostEscalations);
+    if (obs::traceEnabled())
+      obs::TraceRecorder::instance().instant(
+          "demand.cost_cap", "demand", "steps", Demand->stepsCharged(),
+          "allowance", Allowance);
+    obs::flight("demand.cost_cap", Demand->stepsCharged(), Allowance);
+  }
   obs::TierSpan Tier(obs::ReqTier::Escalation);
   Tier.markHit();
   obs::TraceSpan Span("demand.escalate", "demand");
   obs::count(obs::Counter::DemandEscalations);
-  SolveResult R = solveGoverned(CS, Opts.EscalationKind,
-                                Opts.EscalationBudget, PtsRepr::Bitmap,
-                                nullptr, Opts.EscalationOpts);
+  SolveResult R = solvePipeline(CS, Opts.EscalationKind,
+                                Opts.EscalationBudget, nullptr,
+                                Opts.EscalationOpts);
   if (R.Outcome == SolveOutcome::Failed)
     return R.St;
   if (!R.Sound) {
@@ -78,13 +119,36 @@ Status DemandTier::escalateLocked(const Status &TripSt) {
   return Status::okStatus();
 }
 
+template <typename DeduceFn>
+Status DemandTier::deduceLocked(DeduceFn &&Deduce) {
+  Status St;
+  {
+    obs::TierSpan Tier(obs::ReqTier::Demand);
+    SolveGovernor Gov(Opts.QueryBudget);
+    St = Deduce(&Gov);
+    if (St.ok())
+      Tier.markHit();
+  }
+  if (St.ok() || !St.isBudgetTrip())
+    return St;
+  const bool CostCap = Demand->allowanceSpent();
+  Status Esc = escalateLocked(St, CostCap);
+  if (Esc.ok() || !CostCap)
+    return Esc;
+  // No sound exhaustive solution under the escalation budget. The
+  // allowance only redirects work to that solve, so lift it and deduce.
+  Allowance = 0;
+  Demand->setStepAllowance(0);
+  return deduceLocked(Deduce);
+}
+
 Status DemandTier::escalateNow() {
   std::lock_guard<std::mutex> Lock(Mu);
   if (Escalation)
     return Status::okStatus();
   bool Saved = Opts.AllowEscalation;
   Opts.AllowEscalation = true;
-  Status St = escalateLocked(Status::okStatus());
+  Status St = escalateLocked(Status::okStatus(), /*CostCap=*/false);
   Opts.AllowEscalation = Saved;
   return St;
 }
@@ -111,26 +175,13 @@ Status DemandTier::pointsTo(NodeId V, IdList &Out) {
     return Status::okStatus();
   }
   SparseBitVector Bits;
-  Status St;
-  {
-    obs::TierSpan Tier(obs::ReqTier::Demand);
-    SolveGovernor Gov(Opts.QueryBudget);
-    St = Demand->pointsTo(V, &Gov, Bits);
-    if (St.ok())
-      Tier.markHit();
-  }
-  if (St.ok()) {
-    Out = materialize(Bits);
-    Cache.put(Key, Out);
+  Status St = deduceLocked(
+      [&](SolveGovernor *Gov) { return Demand->pointsTo(V, Gov, Bits); });
+  if (!St.ok())
     return St;
-  }
-  if (!St.isBudgetTrip())
-    return St;
-  if (Status Esc = escalateLocked(St); !Esc.ok())
-    return Esc;
-  Out = solutionPointsTo(V);
+  Out = Escalation ? solutionPointsTo(V) : materialize(Bits);
   Cache.put(Key, Out);
-  return Status::okStatus();
+  return St;
 }
 
 Status DemandTier::alias(NodeId A, NodeId B, bool &Out) {
@@ -156,25 +207,14 @@ Status DemandTier::alias(NodeId A, NodeId B, bool &Out) {
     AliasCache.put(Key, Out);
     return Status::okStatus();
   }
-  Status St;
-  {
-    obs::TierSpan Tier(obs::ReqTier::Demand);
-    SolveGovernor Gov(Opts.QueryBudget);
-    St = Demand->alias(A, B, &Gov, Out);
-    if (St.ok())
-      Tier.markHit();
-  }
-  if (St.ok()) {
-    AliasCache.put(Key, Out);
+  Status St = deduceLocked(
+      [&](SolveGovernor *Gov) { return Demand->alias(A, B, Gov, Out); });
+  if (!St.ok())
     return St;
-  }
-  if (!St.isBudgetTrip())
-    return St;
-  if (Status Esc = escalateLocked(St); !Esc.ok())
-    return Esc;
-  Out = Escalation->mayAlias(A, B);
+  if (Escalation)
+    Out = Escalation->mayAlias(A, B);
   AliasCache.put(Key, Out);
-  return Status::okStatus();
+  return St;
 }
 
 Status DemandTier::pointedBy(NodeId Obj, IdList &Out) {
@@ -199,26 +239,13 @@ Status DemandTier::pointedBy(NodeId Obj, IdList &Out) {
     return Status::okStatus();
   }
   SparseBitVector Bits;
-  Status St;
-  {
-    obs::TierSpan Tier(obs::ReqTier::Demand);
-    SolveGovernor Gov(Opts.QueryBudget);
-    St = Demand->pointedBy(Obj, &Gov, Bits);
-    if (St.ok())
-      Tier.markHit();
-  }
-  if (St.ok()) {
-    Out = materialize(Bits);
-    Cache.put(Key, Out);
+  Status St = deduceLocked(
+      [&](SolveGovernor *Gov) { return Demand->pointedBy(Obj, Gov, Bits); });
+  if (!St.ok())
     return St;
-  }
-  if (!St.isBudgetTrip())
-    return St;
-  if (Status Esc = escalateLocked(St); !Esc.ok())
-    return Esc;
-  Out = solutionPointedBy(Obj);
+  Out = Escalation ? solutionPointedBy(Obj) : materialize(Bits);
   Cache.put(Key, Out);
-  return Status::okStatus();
+  return St;
 }
 
 bool DemandTier::tryMemoPointsTo(NodeId V, IdList &Out) {
@@ -298,10 +325,11 @@ Status DemandTier::resolveDelta(const ConstraintSystem &DeltaCS) {
   }
 
   Demand->refresh();
+  resetAllowance();
   Cache.clear();
   AliasCache.clear();
   // The escalated solution (if any) no longer matches the system; the
-  // demand path resumes with its warm partial state.
+  // demand path resumes with its warm partial state and a new allowance.
   Escalation.reset();
   EscReverse.clear();
   EscReverseBuilt = false;

@@ -6,18 +6,29 @@
 ///
 /// \file
 /// The serving tier over DemandSolver: per-query governor construction, an
-/// LRU of materialized results, structured escalation to an exhaustive
-/// governed solve when a query's deduction budget trips, and delta
-/// adoption mirroring IncrementalSolver::resolveSystem. Layering: this
+/// LRU of materialized results, a cost allowance derived from the graph,
+/// structured escalation to an exhaustive governed solve when a query's
+/// deduction budget trips or the allowance is spent, and delta adoption
+/// mirroring IncrementalSolver::resolveSystem. Layering: this
 /// class deliberately knows nothing about the serve library — QueryEngine
 /// and ServeSession consult *it* (the demand memo is the first tier,
 /// snapshot solutions the second), never the other way around.
+///
+/// Cost allowance: every deduction step of every query is charged against
+/// one allowance of K x |constraints| steps (K in DemandTier.cpp, DESIGN.md
+/// §14), reset by construction and resolveDelta. Demand answers a query
+/// only while it stays cheaper than the exhaustive solve it stands in for;
+/// the query that spends the allowance escalates, exactly like a query
+/// budget trip, and later queries answer from the solution.
+/// AllowEscalation = false switches the allowance off.
 ///
 /// Escalation policy ("sound fallback preserved"): a Precise or Fallback
 /// exhaustive solution is adopted and serves every later query; a Partial
 /// one (budget tripped with fallback disallowed) is discarded and the
 /// query reports its budget-trip Status — the tier never serves unsound
-/// answers.
+/// answers. When the trip was the spent allowance, the tier instead lifts
+/// the allowance and keeps deducing, so the allowance never leaves a
+/// query without an answer.
 ///
 /// Thread-safe: one mutex serializes queries (the demand solver mutates
 /// shared memo state); the LRU probe in front of it is sharded and
@@ -44,15 +55,18 @@ namespace ag {
 class DemandTier {
 public:
   struct Options {
-    /// Budget for one demand deduction; unlimited() never escalates.
+    /// Budget for one demand deduction (default unlimited: only the cost
+    /// allowance bounds it).
     SolveBudget QueryBudget;
     /// Budget for the escalation solve (default unlimited: escalation
     /// always lands a precise exhaustive solution).
     SolveBudget EscalationBudget;
     SolverOptions EscalationOpts;
-    SolverKind EscalationKind = SolverKind::LCDHCD;
-    /// Escalate on a demand budget trip. When false a tripped query
-    /// reports its trip Status instead.
+    /// Kind of the escalation solve, run after OVS (solvePipeline).
+    SolverKind EscalationKind = SolverKind::PKHHCD;
+    /// Escalate on a demand budget trip or a spent cost allowance. When
+    /// false there is no allowance and a tripped query reports its trip
+    /// Status instead.
     bool AllowEscalation = true;
     size_t CacheCapacity = size_t(1) << 16;
     size_t CacheShards = 8;
@@ -101,6 +115,11 @@ public:
   /// cache and any escalated solution.
   Status resolveDelta(const ConstraintSystem &DeltaCS);
 
+  /// The cost allowance in deduction steps (0: none) and the steps
+  /// charged against it since construction or the last resolveDelta.
+  uint64_t stepAllowance() const;
+  uint64_t stepsCharged() const;
+
   bool escalated() const { return Escalation != nullptr; }
   SolveOutcome escalationOutcome() const { return EscOutcome; }
   const Status &escalationStatus() const { return EscSt; }
@@ -121,10 +140,21 @@ private:
 
   static IdList materialize(const SparseBitVector &Bits);
 
+  /// Sets the allowance from the current system. Mu held (or
+  /// construction).
+  void resetAllowance();
+
+  /// Runs one governed deduction through \p Deduce (called with the
+  /// query's governor). On a budget trip or a spent allowance escalates;
+  /// ok then means "answer from the escalated solution" when escalated()
+  /// holds. Mu held.
+  template <typename DeduceFn> Status deduceLocked(DeduceFn &&Deduce);
+
   /// Runs the escalation solve if not yet run. Mu held. Returns the
   /// query-visible status: ok after adopting a sound solution, the
   /// original \p TripSt when escalation is off or landed Partial.
-  Status escalateLocked(const Status &TripSt);
+  /// \p CostCap marks an escalation caused by the spent allowance.
+  Status escalateLocked(const Status &TripSt, bool CostCap);
 
   /// pointsTo/pointedBy against the adopted exhaustive solution. Mu held.
   IdList solutionPointsTo(NodeId V);
@@ -132,6 +162,7 @@ private:
 
   Options Opts;
   ConstraintSystem CS;
+  uint64_t Allowance = 0;
 
   mutable std::mutex Mu;
   std::unique_ptr<DemandSolver> Demand;

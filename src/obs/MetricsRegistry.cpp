@@ -47,6 +47,7 @@ constexpr const char *CounterNames[] = {
     "demand.memo_misses",
     "demand.steps",
     "demand.escalations",
+    "demand.cost_escalations",
     "demand.invalidations",
     "serve.requests",
     "serve.tier.lru",
@@ -218,7 +219,7 @@ std::string MetricsRegistry::renderJson(bool Compact) const {
   std::string Out = "{";
   Out += Nl;
   Out += In1;
-  Out += "\"schema\": \"ag.metrics.v5\",";
+  Out += "\"schema\": \"ag.metrics.v6\",";
   Out += Nl;
 
   Out += In1;

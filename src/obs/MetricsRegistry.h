@@ -15,7 +15,7 @@
 /// rates.
 ///
 /// Rendering is deterministic: renderJson() emits every counter, gauge and
-/// histogram in enum order with a schema tag ("ag.metrics.v5"), so two runs
+/// histogram in enum order with a schema tag ("ag.metrics.v6"), so two runs
 /// at the same seed produce bit-identical files and CI can validate the
 /// key set against tests/metrics_schema.json (schema stability rules in
 /// DESIGN.md §11; v1 -> v2 added the set-interning counters and the
@@ -23,7 +23,8 @@
 /// frontier histogram; v3 -> v4 added the serve request/tier/event
 /// counters, the serve.latency.* quantile gauges and the request-latency
 /// histogram; v4 -> v5 added the serve.conns_* connection counters and
-/// the serve.conns_active gauge for the TCP front-end).
+/// the serve.conns_active gauge for the TCP front-end; v5 -> v6 added
+/// demand.cost_escalations next to demand.escalations).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -78,6 +79,7 @@ enum class Counter : unsigned {
   DemandMemoMisses,     ///< Demand queries that ran a deduction fixpoint.
   DemandSteps,          ///< Deduction steps charged by the demand solver.
   DemandEscalations,    ///< Demand queries escalated to an exhaustive solve.
+  DemandCostEscalations, ///< Escalations caused by a spent cost allowance.
   DemandInvalidations,  ///< Memo entries invalidated by constraint deltas.
   ServeRequests,        ///< REPL requests handled by ServeSession.
   ServeTierLru,         ///< Requests that probed the LRU result caches.

@@ -18,13 +18,16 @@ TraceRecorder &TraceRecorder::instance() {
 }
 
 void TraceRecorder::append(const char *Name, const char *Cat, char Phase,
-                           const char *ArgKey, uint64_t ArgVal) {
+                           const char *ArgKey, uint64_t ArgVal,
+                           const char *ArgKey2, uint64_t ArgVal2) {
   TraceEvent E;
   E.TsNanos = nowNanos();
   E.Name = Name;
   E.Cat = Cat;
   E.ArgKey = ArgKey;
   E.ArgVal = ArgVal;
+  E.ArgKey2 = ArgKey2;
+  E.ArgVal2 = ArgVal2;
   E.Tid = trackId();
   E.Phase = Phase;
   std::lock_guard<std::mutex> Lock(Mu);
@@ -71,6 +74,12 @@ std::string TraceRecorder::renderJson() const {
       Out += E.ArgKey;
       Out += "\":";
       Out += std::to_string(E.ArgVal);
+      if (E.ArgKey2) {
+        Out += ",\"";
+        Out += E.ArgKey2;
+        Out += "\":";
+        Out += std::to_string(E.ArgVal2);
+      }
       Out += "}";
     } else if (E.Phase == 'i') {
       // Instants want a scope; "t" (thread) keeps them on their track.

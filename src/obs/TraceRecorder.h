@@ -92,8 +92,10 @@ struct TraceEvent {
   uint64_t TsNanos = 0;
   const char *Name = nullptr;
   const char *Cat = nullptr;
-  const char *ArgKey = nullptr; ///< Optional single argument.
+  const char *ArgKey = nullptr; ///< Optional first argument.
   uint64_t ArgVal = 0;
+  const char *ArgKey2 = nullptr; ///< Optional second argument.
+  uint64_t ArgVal2 = 0;
   uint32_t Tid = 0;
   char Phase = 'i'; ///< 'B', 'E', 'i', or 'C'.
 };
@@ -113,8 +115,9 @@ public:
     append(Name, Cat, 'E', nullptr, 0);
   }
   void instant(const char *Name, const char *Cat, const char *ArgKey = nullptr,
-               uint64_t ArgVal = 0) {
-    append(Name, Cat, 'i', ArgKey, ArgVal);
+               uint64_t ArgVal = 0, const char *ArgKey2 = nullptr,
+               uint64_t ArgVal2 = 0) {
+    append(Name, Cat, 'i', ArgKey, ArgVal, ArgKey2, ArgVal2);
   }
   /// A counter sample: renders as a value-over-time track.
   void counter(const char *Name, uint64_t Value) {
@@ -140,7 +143,8 @@ private:
   TraceRecorder() = default;
 
   void append(const char *Name, const char *Cat, char Phase,
-              const char *ArgKey, uint64_t ArgVal);
+              const char *ArgKey, uint64_t ArgVal,
+              const char *ArgKey2 = nullptr, uint64_t ArgVal2 = 0);
 
   mutable std::mutex Mu;
   std::vector<TraceEvent> Events;

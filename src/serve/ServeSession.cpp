@@ -591,9 +591,9 @@ bool ServeSession::dispatch(const std::string &Cmd,
     if (!resolveNodeRef(*St, Args[0], Out, V))
       return true;
     if (Tier && !St->Engine) {
-      // Demand path: deduce just what the query needs; a budget trip
-      // escalates inside the tier, and only an unanswerable query (no
-      // sound solution landed) reports an error.
+      // Demand path: deduce just what the query needs; a budget trip or
+      // a spent cost allowance escalates inside the tier, and only an
+      // unanswerable query (no sound solution landed) reports an error.
       const ConstraintSystem &CS = systemOf(*St);
       QueryEngine::IdList List;
       Status S;

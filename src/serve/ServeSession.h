@@ -104,13 +104,14 @@ struct ServeOptions {
   /// Budget multiplier between attempts (> 1).
   double ResolveBackoff = 4.0;
 
-  /// Demand mode only: per-query deduction budget (unlimited never
-  /// escalates; a finite budget escalates to one exhaustive solve when a
-  /// query's deduction trips it).
+  /// Demand mode only: per-query deduction budget. A query escalates to
+  /// one exhaustive solve when its deduction trips this budget or spends
+  /// the tier's cost allowance (DemandTier), whichever comes first.
   SolveBudget QueryBudget;
 
-  /// Demand mode only: solver kind for the escalation solve.
-  SolverKind EscalationKind = SolverKind::LCDHCD;
+  /// Demand mode only: solver kind for the escalation solve (run after
+  /// OVS, as `ptatool solve` does).
+  SolverKind EscalationKind = SolverKind::PKHHCD;
 
   /// Wide-event sink: when set, every executed request (and every shed or
   /// deadline-dropped one in queue mode) publishes one "ag.events.v1"
@@ -142,7 +143,8 @@ struct ServeCounters {
 /// One serving session over a loaded snapshot (see file comment), or —
 /// demand mode — over a raw constraint system with no solve up front:
 /// queries answer through a DemandTier (memoized demand deduction,
-/// escalation to one exhaustive solve on a budget trip), `resolve`
+/// escalation to one exhaustive solve on a budget trip or once the
+/// tier's cost allowance is spent), `resolve`
 /// folds deltas into the tier, and whole-solution commands (`callgraph`,
 /// `check`) force the escalation and materialize a QueryEngine over it
 /// with the demand memo attached as its first tier.

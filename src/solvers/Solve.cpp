@@ -302,3 +302,14 @@ SolveResult ag::solveGoverned(const ConstraintSystem &CS, SolverKind Kind,
     return R;
   }
 }
+
+SolveResult ag::solvePipeline(const ConstraintSystem &CS, SolverKind Kind,
+                              const SolveBudget &Budget,
+                              SolverStats *StatsOut,
+                              const SolverOptions &Opts, OvsResult *OvsOut) {
+  OvsResult Own;
+  OvsResult &Ovs = OvsOut ? *OvsOut : Own;
+  Ovs = runOfflineVariableSubstitution(CS);
+  return solveGoverned(Ovs.Reduced, Kind, Budget, PtsRepr::Bitmap, StatsOut,
+                       Opts, &Ovs.Rep);
+}

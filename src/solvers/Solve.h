@@ -10,14 +10,11 @@
 /// solution. Handles the HCD offline pass and representative seeding from
 /// offline analyses.
 ///
-/// Typical use:
+/// Typical use (the OVS -> HCD offline -> solve pipeline in one call):
 /// \code
 ///   ConstraintSystem CS = ...;
-///   OvsResult Ovs = runOfflineVariableSubstitution(CS);
-///   SolverStats Stats;
-///   PointsToSolution Sol = solve(Ovs.Reduced, SolverKind::LCDHCD,
-///                                PtsRepr::Bitmap, &Stats, {}, &Ovs.Rep);
-///   bool Aliases = Sol.mayAlias(P, Q);
+///   SolveResult R = solvePipeline(CS, SolverKind::PKHHCD);
+///   bool Aliases = R.Solution.mayAlias(P, Q);
 /// \endcode
 ///
 //===----------------------------------------------------------------------===//
@@ -26,6 +23,7 @@
 #define AG_SOLVERS_SOLVE_H
 
 #include "constraints/ConstraintSystem.h"
+#include "constraints/OfflineVariableSubstitution.h"
 #include "core/HcdOffline.h"
 #include "core/PointsToSolution.h"
 #include "core/Solver.h"
@@ -97,6 +95,19 @@ SolveResult solveGoverned(const ConstraintSystem &CS, SolverKind Kind,
                           const SolverOptions &Opts = SolverOptions(),
                           const std::vector<NodeId> *SeedReps = nullptr,
                           const HcdResult *Hcd = nullptr);
+
+/// The analysis pipeline `ptatool solve`/`snapshot` and the demand tier's
+/// escalation share: offline variable substitution over \p CS, then
+/// solveGoverned() on the reduced system seeded with the OVS merge map
+/// (HCD kinds run their offline pass on the reduced system). The solution
+/// covers every node of \p CS and equals a direct solve of it; OVS only
+/// makes it cheaper. \p OvsOut, when given, receives the OVS result —
+/// its Rep is the seed map a snapshot of \p CS persists.
+SolveResult solvePipeline(const ConstraintSystem &CS, SolverKind Kind,
+                          const SolveBudget &Budget = SolveBudget(),
+                          SolverStats *StatsOut = nullptr,
+                          const SolverOptions &Opts = SolverOptions(),
+                          OvsResult *OvsOut = nullptr);
 
 /// The graceful-degradation analysis solveGoverned() substitutes when a
 /// budget trips: Steensgaard's near-linear unification analysis with

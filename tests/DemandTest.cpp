@@ -8,10 +8,11 @@
 /// Differential certification of the demand-driven subsystem: every
 /// DemandSolver answer bit-equal to the exhaustive solution of every
 /// solver kind (sequential and parallel), tier escalation on budget
-/// trips (sound fallback preserved, unsound partial state never served),
-/// delta adoption with memo invalidation, the QueryEngine memo tier, the
-/// governed reverse-index build, demand-mode serving sessions, and the
-/// `ptatool query` exit codes end to end.
+/// trips and on a spent cost allowance (sound fallback preserved,
+/// unsound partial state never served), delta adoption with memo
+/// invalidation, the QueryEngine memo tier, the governed reverse-index
+/// build, demand-mode serving sessions, and the `ptatool query` exit
+/// codes end to end.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,8 +22,10 @@
 #include "adt/Rng.h"
 #include "check/Differential.h"
 #include "core/SolveBudget.h"
+#include "obs/FlightRecorder.h"
 #include "obs/MetricsRegistry.h"
 #include "obs/Obs.h"
+#include "obs/TraceRecorder.h"
 #include "serve/QueryEngine.h"
 #include "serve/ServeSession.h"
 #include "serve/Snapshot.h"
@@ -271,6 +274,207 @@ TEST(DemandTier, TripWithoutEscalationReportsStructuredStatus) {
   St = Tier.pointedBy(0, List);
   ASSERT_FALSE(St.ok());
   EXPECT_TRUE(St.isBudgetTrip()) << St.toString();
+}
+
+/// A paper-shaped suite large enough that its densest query costs more
+/// deduction steps than the tier's cost allowance, with one targeted
+/// (1-16 objects, local slice) and the densest pointer picked from the
+/// exhaustive solution.
+struct CostCapCase {
+  ConstraintSystem CS;
+  PointsToSolution Exact;
+  NodeId Targeted = InvalidNode;
+  NodeId Dense = InvalidNode;
+};
+
+CostCapCase costCapCase() {
+  CostCapCase C;
+  for (const BenchmarkSpec &Spec : paperSuites(0.05))
+    if (Spec.Name == "gimp")
+      C.CS = generateBenchmark(Spec);
+  C.Exact = solveFnFor(SolverKind::LCDHCD, PtsRepr::Bitmap)(C.CS);
+  std::vector<bool> IsPointer(C.CS.numNodes(), false);
+  for (const Constraint &K : C.CS.constraints())
+    if (K.Kind != ConstraintKind::Store)
+      IsPointer[K.Dst] = true;
+  size_t Max = 0;
+  uint64_t FewestSteps = UINT64_MAX;
+  for (NodeId V = 0; V != C.CS.numNodes(); ++V) {
+    if (!IsPointer[V])
+      continue;
+    size_t N = C.Exact.pointsTo(V).count();
+    if (N > Max) {
+      Max = N;
+      C.Dense = V;
+    }
+    if (N >= 1 && N <= 16 && V % 7 == 0) {
+      // The cheapest of a few small-answer pointers: its slice is local.
+      DemandSolver DS(C.CS);
+      SparseBitVector Bits;
+      EXPECT_TRUE(DS.pointsTo(V, nullptr, Bits).ok());
+      if (DS.stepsCharged() < FewestSteps) {
+        FewestSteps = DS.stepsCharged();
+        C.Targeted = V;
+      }
+    }
+  }
+  return C;
+}
+
+TEST(DemandTier, DenseQueryEscalatesOnceTheAllowanceIsSpent) {
+  obs::MetricsRegistry &Reg = obs::MetricsRegistry::instance();
+  obs::setMetricsEnabled(true);
+  Reg.reset();
+  CostCapCase C = costCapCase();
+  ASSERT_NE(C.Targeted, InvalidNode);
+  ASSERT_NE(C.Dense, InvalidNode);
+
+  DemandTier Tier(C.CS);
+  EXPECT_GT(Tier.stepAllowance(), 0u);
+  EXPECT_EQ(Tier.stepAllowance() % C.CS.constraints().size(), 0u)
+      << "the allowance is K x |constraints|";
+
+  // A targeted query answers on the demand path and leaves the
+  // allowance nearly untouched.
+  DemandTier::IdList L;
+  ASSERT_TRUE(Tier.pointsTo(C.Targeted, L).ok());
+  EXPECT_EQ(*L, C.Exact.pointsToVector(C.Targeted));
+  EXPECT_FALSE(Tier.escalated());
+  EXPECT_LT(Tier.stepsCharged(), Tier.stepAllowance() / 100);
+
+  // The dense query spends the allowance and escalates once.
+  ASSERT_TRUE(Tier.pointsTo(C.Dense, L).ok());
+  EXPECT_EQ(*L, C.Exact.pointsToVector(C.Dense));
+  ASSERT_TRUE(Tier.escalated());
+  EXPECT_EQ(Tier.escalationKind(), SolverKind::PKHHCD);
+  EXPECT_EQ(Tier.escalationOutcome(), SolveOutcome::Precise);
+  EXPECT_GT(Tier.stepsCharged(), Tier.stepAllowance());
+  EXPECT_EQ(Reg.counterValue(obs::Counter::DemandEscalations), 1u);
+  EXPECT_EQ(Reg.counterValue(obs::Counter::DemandCostEscalations), 1u);
+  // The OVS + PKH+HCD escalation lands the LCD+HCD solution exactly.
+  EXPECT_EQ(Tier.escalationSolution()->hash(), C.Exact.hash());
+
+  // Every answer afterwards comes from the adopted solution, bit-equal
+  // to the exhaustive one.
+  const uint32_t N = C.CS.numNodes();
+  for (NodeId V = 0; V != N; ++V) {
+    ASSERT_TRUE(Tier.pointsTo(V, L).ok());
+    EXPECT_EQ(*L, C.Exact.pointsToVector(V)) << "node " << V;
+  }
+  Rng R(5);
+  for (int I = 0; I != 200; ++I) {
+    NodeId P = static_cast<NodeId>(R.nextBelow(N));
+    NodeId Q = static_cast<NodeId>(R.nextBelow(N));
+    bool Verdict = false;
+    ASSERT_TRUE(Tier.alias(P, Q, Verdict).ok());
+    EXPECT_EQ(Verdict, C.Exact.mayAlias(P, Q)) << P << " " << Q;
+  }
+  for (NodeId Obj = 0; Obj < N; Obj += 37) {
+    std::vector<NodeId> Brute;
+    for (NodeId V = 0; V != N; ++V)
+      if (C.Exact.pointsToObj(V, Obj))
+        Brute.push_back(V);
+    ASSERT_TRUE(Tier.pointedBy(Obj, L).ok());
+    EXPECT_EQ(*L, Brute) << "pointedBy(" << Obj << ")";
+  }
+  EXPECT_EQ(Reg.counterValue(obs::Counter::DemandEscalations), 1u);
+  obs::setMetricsEnabled(false);
+}
+
+TEST(DemandTier, CostCapIsTracedAndRecorded) {
+  CostCapCase C = costCapCase();
+  obs::TraceRecorder::instance().clear();
+  obs::setTraceEnabled(true);
+  const uint64_t Flight0 = obs::FlightRecorder::instance().totalRecorded();
+  DemandTier Tier(C.CS);
+  DemandTier::IdList L;
+  ASSERT_TRUE(Tier.pointsTo(C.Dense, L).ok());
+  obs::setTraceEnabled(false);
+  ASSERT_TRUE(Tier.escalated());
+
+  size_t Instants = 0;
+  for (const obs::TraceEvent &E : obs::TraceRecorder::instance().events())
+    if (std::string(E.Name) == "demand.cost_cap") {
+      ++Instants;
+      EXPECT_EQ(std::string(E.ArgKey), "steps");
+      EXPECT_EQ(E.ArgVal, Tier.stepsCharged());
+      EXPECT_EQ(std::string(E.ArgKey2), "allowance");
+      EXPECT_EQ(E.ArgVal2, Tier.stepAllowance());
+    }
+  EXPECT_EQ(Instants, 1u);
+  EXPECT_NE(obs::TraceRecorder::instance().renderJson().find(
+                "\"args\":{\"steps\":"),
+            std::string::npos);
+  EXPECT_GT(obs::FlightRecorder::instance().totalRecorded(), Flight0);
+  EXPECT_NE(obs::FlightRecorder::instance().dumpText().find(
+                "demand.cost_cap"),
+            std::string::npos);
+  obs::TraceRecorder::instance().clear();
+}
+
+TEST(DemandTier, WithoutEscalationThereIsNoAllowance) {
+  CostCapCase C = costCapCase();
+  DemandTier::Options TO;
+  TO.AllowEscalation = false;
+  DemandTier Tier(C.CS, TO);
+  EXPECT_EQ(Tier.stepAllowance(), 0u);
+  DemandTier::IdList L;
+  ASSERT_TRUE(Tier.pointsTo(C.Dense, L).ok());
+  EXPECT_EQ(*L, C.Exact.pointsToVector(C.Dense));
+  for (NodeId V = 0; V < C.CS.numNodes(); V += 5) {
+    ASSERT_TRUE(Tier.pointsTo(V, L).ok());
+    EXPECT_EQ(*L, C.Exact.pointsToVector(V)) << "node " << V;
+  }
+  EXPECT_FALSE(Tier.escalated());
+  EXPECT_GT(Tier.stepsCharged(), 0u);
+}
+
+TEST(DemandTier, UnsoundEscalationLiftsTheAllowanceInsteadOfFailing) {
+  // The escalation solve trips with fallback disallowed, so it cannot
+  // land a sound solution: the spent allowance must not leave the query
+  // without an answer — the tier keeps deducing.
+  CostCapCase C = costCapCase();
+  DemandTier::Options TO;
+  TO.EscalationBudget = trippedBudget();
+  TO.EscalationBudget.AllowFallback = false;
+  DemandTier Tier(C.CS, TO);
+  DemandTier::IdList L;
+  ASSERT_TRUE(Tier.pointsTo(C.Dense, L).ok());
+  EXPECT_EQ(*L, C.Exact.pointsToVector(C.Dense));
+  EXPECT_FALSE(Tier.escalated());
+  EXPECT_EQ(Tier.stepAllowance(), 0u);
+}
+
+TEST(DemandTier, ResolveDeltaResetsTheAllowance) {
+  CostCapCase C = costCapCase();
+  DemandTier Tier(C.CS);
+  const uint64_t Allowance0 = Tier.stepAllowance();
+  DemandTier::IdList L;
+  ASSERT_TRUE(Tier.pointsTo(C.Dense, L).ok());
+  ASSERT_TRUE(Tier.escalated());
+
+  ConstraintSystem Delta = Tier.system();
+  NodeId Fresh = Delta.addNode("fresh_obj");
+  NodeId Ptr = Delta.addNode("fresh_ptr");
+  Delta.addAddressOf(Ptr, Fresh);
+  Delta.addCopy(C.Targeted, Ptr);
+  ASSERT_TRUE(Tier.resolveDelta(Delta).ok());
+  EXPECT_FALSE(Tier.escalated());
+  EXPECT_EQ(Tier.stepsCharged(), 0u);
+  EXPECT_GT(Tier.stepAllowance(), Allowance0)
+      << "the new allowance is sized from the grown system";
+
+  // Back on the demand path with a fresh allowance: the targeted query
+  // deduces, the dense one spends the allowance and escalates again.
+  PointsToSolution Sol =
+      solveFnFor(SolverKind::LCDHCD, PtsRepr::Bitmap)(Delta);
+  ASSERT_TRUE(Tier.pointsTo(C.Targeted, L).ok());
+  EXPECT_EQ(*L, Sol.pointsToVector(C.Targeted));
+  EXPECT_FALSE(Tier.escalated());
+  ASSERT_TRUE(Tier.pointsTo(C.Dense, L).ok());
+  EXPECT_EQ(*L, Sol.pointsToVector(C.Dense));
+  EXPECT_TRUE(Tier.escalated());
+  EXPECT_EQ(Tier.escalationSolution()->hash(), Sol.hash());
 }
 
 TEST(DemandTier, ResolveDeltaInvalidatesMemoAndStaysExact) {

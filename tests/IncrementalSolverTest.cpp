@@ -18,23 +18,31 @@
 #include "serve/IncrementalSolver.h"
 
 #include "constraints/OfflineVariableSubstitution.h"
+#include "serve/ServeSession.h"
+#include "serve/Snapshot.h"
 #include "workload/WorkloadGen.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <sstream>
 #include <vector>
 
 using namespace ag;
 
 namespace {
 
+/// The `ptatool snapshot` form: the parsed system, solved through the
+/// OVS pipeline, with the OVS map as seed map.
 Snapshot makeSnapshot(const ConstraintSystem &CS,
                       SolverKind Kind = SolverKind::LCDHCD) {
-  OvsResult Ovs = runOfflineVariableSubstitution(CS);
+  OvsResult Ovs;
   Snapshot Snap;
-  Snap.Solution = solve(Ovs.Reduced, Kind, PtsRepr::Bitmap, nullptr,
-                        SolverOptions(), &Ovs.Rep);
-  Snap.CS = std::move(Ovs.Reduced);
+  Snap.Solution = solvePipeline(CS, Kind, SolveBudget(), nullptr,
+                                SolverOptions(), &Ovs)
+                      .Solution;
+  Snap.CS = CS;
   Snap.SeedReps = std::move(Ovs.Rep);
   Snap.Kind = Kind;
   return Snap;
@@ -49,8 +57,8 @@ ConstraintSystem suiteSystem(uint64_t Seed) {
   return generateBenchmark(Spec);
 }
 
-/// The cold baseline the warm solve must match: the snapshot's (reduced)
-/// system plus the delta, added in the same order, solved from scratch
+/// The cold baseline the warm solve must match: the snapshot's system
+/// plus the delta, added in the same order, solved from scratch
 /// seeded with the snapshot's offline map.
 ConstraintSystem fullSystem(const Snapshot &Snap,
                             const std::vector<Constraint> &Delta) {
@@ -309,5 +317,53 @@ TEST(IncrementalSolver, NonPreciseSnapshotsAreRejected) {
   WarmStartResult R = Inc.resolve({});
   EXPECT_EQ(R.Outcome, SolveOutcome::Failed);
 }
+
+#ifdef AG_PTATOOL_PATH
+
+TEST(IncrementalSolver, PtatoolSnapshotKeepsConstraintsOvsDrops) {
+  // base `y = &q; y = x`: x is empty, so OVS drops the copy y = x. The
+  // delta `x = &o` must still reach y after a warm resolve, so the
+  // snapshot has to keep the parsed system, not the OVS-reduced one.
+  ConstraintSystem Base;
+  for (const char *Name : {"x", "y", "o", "q"})
+    Base.addNode(Name);
+  Base.addAddressOf(1, 3);
+  Base.addCopy(1, 0);
+  ConstraintSystem Delta = Base.cloneNodeTable();
+  Delta.addAddressOf(0, 2);
+  ASSERT_LT(runOfflineVariableSubstitution(Base).Reduced.constraints().size(),
+            Base.constraints().size())
+      << "OVS no longer drops the copy; the repro lost its point";
+
+  const std::string Dir = ::testing::TempDir();
+  const std::string BasePath = Dir + "ovs_drop_base.cons";
+  const std::string DeltaPath = Dir + "ovs_drop_delta.cons";
+  const std::string SnapPath = Dir + "ovs_drop_base.snap";
+  ASSERT_TRUE(Base.writeToFile(BasePath));
+  ASSERT_TRUE(Delta.writeToFile(DeltaPath));
+  const std::string Tool = AG_PTATOOL_PATH;
+  ASSERT_EQ(std::system((Tool + " snapshot " + BasePath + " " + SnapPath +
+                         " > /dev/null")
+                            .c_str()),
+            0);
+  EXPECT_EQ(std::system((Tool + " resolve " + SnapPath + " " + DeltaPath +
+                         " > /dev/null")
+                            .c_str()),
+            0);
+
+  Snapshot Snap;
+  ASSERT_TRUE(readSnapshotFile(SnapPath, Snap).ok());
+  EXPECT_EQ(Snap.CS.constraints().size(), Base.constraints().size());
+  ServeSession Session(std::move(Snap));
+  std::ostringstream Out;
+  EXPECT_TRUE(Session.handleLine("resolve " + DeltaPath, Out));
+  Out.str("");
+  EXPECT_TRUE(Session.handleLine("pts 1", Out));
+  EXPECT_EQ(Out.str(), "pts(1): 2 3\n") << "pts y must be {o, q}";
+  for (const std::string &P : {BasePath, DeltaPath, SnapPath})
+    std::remove(P.c_str());
+}
+
+#endif // AG_PTATOOL_PATH
 
 } // namespace

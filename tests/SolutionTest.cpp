@@ -37,6 +37,49 @@ TEST(PointsToSolution, RepSharing) {
   EXPECT_EQ(S.totalPointsToSize(), 6u) << "three nodes x two targets";
 }
 
+/// The per-node definition totalPointsToSize() must keep matching.
+uint64_t naiveTotalPointsToSize(const PointsToSolution &S) {
+  uint64_t Total = 0;
+  for (NodeId V = 0; V != S.numNodes(); ++V)
+    Total += S.pointsTo(V).count();
+  return Total;
+}
+
+TEST(PointsToSolution, TotalSizeMatchesPerNodeSum) {
+  // Hand-built: two merged classes whose equal sets get interned onto one
+  // physical set, a singleton class, and an empty class.
+  PointsToSolution S(8);
+  for (NodeId R : {0u, 4u}) {
+    S.mutableSet(R).set(6);
+    S.mutableSet(R).set(7);
+  }
+  S.mutableSet(3).set(5);
+  S.setRep(1, 0);
+  S.setRep(2, 0);
+  S.setRep(5, 4);
+  S.internShared();
+  ASSERT_EQ(S.sharedSet(0).get(), S.sharedSet(4).get());
+  EXPECT_EQ(S.totalPointsToSize(), naiveTotalPointsToSize(S));
+  EXPECT_EQ(S.totalPointsToSize(), 3u * 2 + 2u * 2 + 1u);
+
+  // Solved: cycle collapse and OVS seeding merge classes, and extraction
+  // interns shared sets.
+  BenchmarkSpec Spec;
+  Spec.NumFunctions = 22;
+  Spec.VarsPerFunction = 12;
+  Spec.NumGlobals = 40;
+  ConstraintSystem CS = generateBenchmark(Spec);
+  for (SolverKind K : {SolverKind::LCDHCD, SolverKind::PKHHCD}) {
+    PointsToSolution Sol = solvePipeline(CS, K).Solution;
+    uint64_t Merged = 0;
+    for (NodeId V = 0; V != Sol.numNodes(); ++V)
+      Merged += Sol.repOf(V) != V;
+    ASSERT_GT(Merged, 0u) << solverKindName(K);
+    EXPECT_EQ(Sol.totalPointsToSize(), naiveTotalPointsToSize(Sol))
+        << solverKindName(K);
+  }
+}
+
 TEST(PointsToSolution, MayAlias) {
   PointsToSolution S(4);
   S.mutableSet(0).set(2);
